@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"bftbcast"
+	"bftbcast/internal/actor"
 	"bftbcast/internal/auedcode"
 	"bftbcast/internal/exper"
 	"bftbcast/internal/sim"
@@ -81,8 +82,8 @@ func BenchmarkE8ReactiveBudget(b *testing.B) { benchExperiment(b, "E8") }
 // check on the Figure 2 stall.
 func BenchmarkE9Lemma4Propagation(b *testing.B) { benchExperiment(b, "E9") }
 
-// BenchmarkE10Ablations regenerates the quiet-window, sub-bit-length and
-// segment-chain ablations.
+// BenchmarkE10Ablations regenerates the NACK-spam budget,
+// sub-bit-length and segment-chain ablations.
 func BenchmarkE10Ablations(b *testing.B) { benchExperiment(b, "E10") }
 
 // BenchmarkE11Topologies runs the topology-generality comparison (torus
@@ -102,7 +103,7 @@ func BenchmarkE12MultiBroadcast(b *testing.B) { benchExperiment(b, "E12") }
 // harness speedup (sequential vs parallel) and the engine speedup
 // (sparse fast path vs the dense sim/ref baseline; tracked across PRs
 // in BENCH_sim.json via cmd/benchjson).
-func benchSweep45(b *testing.B, workers int, run func(bftbcast.SimConfig) (*bftbcast.SimResult, error)) {
+func benchSweep45(b *testing.B, workers int, run func(sim.Config) (*sim.Result, error)) {
 	b.Helper()
 	tor, err := bftbcast.NewTorus(45, 45, 4)
 	if err != nil {
@@ -117,7 +118,7 @@ func benchSweep45(b *testing.B, workers int, run func(bftbcast.SimConfig) (*bftb
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := exper.ForEach(workers, points, func(j int) error {
-			res, err := run(bftbcast.SimConfig{
+			res, err := run(sim.Config{
 				Topo: tor, Params: params, Spec: spec,
 				Placement: bftbcast.RandomPlacement{T: 2, Density: 0.05, Seed: uint64(j + 1)},
 				Strategy:  bftbcast.NewCorruptor(),
@@ -137,10 +138,10 @@ func benchSweep45(b *testing.B, workers int, run func(bftbcast.SimConfig) (*bftb
 
 // BenchmarkSweep45Sequential is the 45×45 sweep on one worker through
 // the sparse fast engine (the production path).
-func BenchmarkSweep45Sequential(b *testing.B) { benchSweep45(b, 1, bftbcast.RunSim) }
+func BenchmarkSweep45Sequential(b *testing.B) { benchSweep45(b, 1, sim.Run) }
 
 // BenchmarkSweep45Parallel is the same sweep on runtime.NumCPU() workers.
-func BenchmarkSweep45Parallel(b *testing.B) { benchSweep45(b, runtime.NumCPU(), bftbcast.RunSim) }
+func BenchmarkSweep45Parallel(b *testing.B) { benchSweep45(b, runtime.NumCPU(), sim.Run) }
 
 // BenchmarkSweep45DenseRef is the same sweep through the dense reference
 // engine (internal/sim/ref): the frozen pre-optimization baseline the
@@ -160,7 +161,7 @@ func BenchmarkSweep45Runner(b *testing.B) {
 // <2% overhead over direct sim.Run (BenchmarkSweep45Sequential).
 func BenchmarkSweep45Scenario(b *testing.B) {
 	ctx := context.Background()
-	benchSweep45(b, 1, func(cfg bftbcast.SimConfig) (*bftbcast.SimResult, error) {
+	benchSweep45(b, 1, func(cfg sim.Config) (*sim.Result, error) {
 		sc, err := bftbcast.NewScenario(
 			bftbcast.WithTopology(cfg.Topo),
 			bftbcast.WithParams(cfg.Params),
@@ -512,7 +513,7 @@ func BenchmarkProtocolBRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := bftbcast.RunSim(bftbcast.SimConfig{
+		res, err := sim.Run(sim.Config{
 			Topo: tor, Params: params, Spec: spec,
 			Placement: bftbcast.RandomPlacement{T: 3, Density: 0.1, Seed: 7},
 			Strategy:  bftbcast.NewCorruptor(),
@@ -540,7 +541,7 @@ func BenchmarkActorRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := bftbcast.RunActor(bftbcast.ActorConfig{Topo: tor, Params: params, Spec: spec})
+		res, err := actor.Run(actor.Config{Topo: tor, Params: params, Spec: spec})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -587,30 +588,6 @@ func BenchmarkAUEDVerify(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := code.Verify(w); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkReactiveBroadcast measures a full Breactive run under
-// disruption attacks.
-func BenchmarkReactiveBroadcast(b *testing.B) {
-	tor, err := bftbcast.NewTorus(15, 15, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := bftbcast.RunReactive(bftbcast.ReactiveConfig{
-			Topo: tor, T: 1, MF: 3, MMax: 64, PayloadBits: 16,
-			Placement: bftbcast.RandomPlacement{T: 1, Density: 0.06, Seed: 5},
-			Policy:    bftbcast.PolicyDisrupt,
-			Seed:      9,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Completed {
-			b.Fatal("reactive broadcast failed")
 		}
 	}
 }

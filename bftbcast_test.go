@@ -1,17 +1,28 @@
 package bftbcast_test
 
-// Facade coverage, including the deprecated pre-Scenario entry points
-// (RunSim, RunSimRef, RunActor, RunReactive and their Config types):
-// the wrappers must keep compiling and delegating with no behavior
-// change. CI's staticcheck runs with -tests=false, so the intentional
-// deprecated calls here are not flagged; non-test code must use the
-// Scenario/Engine API.
+// Facade coverage: the constructors, bounds and codec re-exported from
+// the internal packages, each run through the Scenario/Engine API.
 
 import (
+	"context"
 	"testing"
 
 	"bftbcast"
 )
+
+// runFacade builds a scenario from opts and runs it on engine.
+func runFacade(t *testing.T, engine bftbcast.Engine, opts ...bftbcast.ScenarioOption) *bftbcast.Report {
+	t.Helper()
+	sc, err := bftbcast.NewScenario(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := engine.Run(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
 
 func TestFacadeQuickstart(t *testing.T) {
 	tor, err := bftbcast.NewTorus(20, 20, 2)
@@ -23,16 +34,17 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := bftbcast.RunSim(bftbcast.SimConfig{
-		Topo: tor, Params: params, Spec: spec,
-		Placement: bftbcast.RandomPlacement{T: 3, Density: 0.1, Seed: 1},
-		Strategy:  bftbcast.NewCorruptor(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed || res.WrongDecisions != 0 {
-		t.Fatalf("quickstart run failed: %+v", res)
+	rep := runFacade(t, bftbcast.EngineFast,
+		bftbcast.WithTopology(tor),
+		bftbcast.WithParams(params),
+		bftbcast.WithSpec(spec),
+		bftbcast.WithAdversary(
+			bftbcast.RandomPlacement{T: 3, Density: 0.1, Seed: 1},
+			bftbcast.NewCorruptor(),
+		),
+	)
+	if !rep.Completed || rep.WrongDecisions != 0 {
+		t.Fatalf("quickstart run failed: %+v", rep)
 	}
 }
 
@@ -56,17 +68,16 @@ func TestFacadeReactive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := bftbcast.RunReactive(bftbcast.ReactiveConfig{
-		Topo: tor, T: 1, MF: 2, MMax: 32, PayloadBits: 16,
-		Placement: bftbcast.RandomPlacement{T: 1, Density: 0.05, Seed: 2},
-		Policy:    bftbcast.PolicyDisrupt,
-		Seed:      3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatalf("reactive run failed: %+v", res)
+	rep := runFacade(t, bftbcast.EngineFast,
+		bftbcast.WithTopology(tor),
+		bftbcast.WithParams(bftbcast.Params{R: 2, T: 1, MF: 2}),
+		bftbcast.WithProtocol(bftbcast.ProtocolReactive),
+		bftbcast.WithReactive(bftbcast.ReactiveSpec{MMax: 32, PayloadBits: 16, Policy: bftbcast.PolicyDisrupt}),
+		bftbcast.WithPlacement(bftbcast.RandomPlacement{T: 1, Density: 0.05, Seed: 2}),
+		bftbcast.WithSeed(3),
+	)
+	if !rep.Completed || rep.Reactive == nil || !rep.Reactive.Completed {
+		t.Fatalf("reactive run failed: %+v", rep)
 	}
 }
 
@@ -80,12 +91,13 @@ func TestFacadeActor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := bftbcast.RunActor(bftbcast.ActorConfig{Topo: tor, Params: params, Spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed {
-		t.Fatal("actor run failed")
+	rep := runFacade(t, bftbcast.EngineActor,
+		bftbcast.WithTopology(tor),
+		bftbcast.WithParams(params),
+		bftbcast.WithSpec(spec),
+	)
+	if !rep.Completed || rep.Actor == nil {
+		t.Fatalf("actor run failed: %+v", rep)
 	}
 }
 
@@ -134,28 +146,28 @@ func TestFacadeEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := bftbcast.SimConfig{
-		Topo: tor, Params: params, Spec: spec,
-		Placement: bftbcast.RandomPlacement{T: 2, Density: 0.06, Seed: 4},
+	opts := []bftbcast.ScenarioOption{
+		bftbcast.WithTopology(tor),
+		bftbcast.WithParams(params),
+		bftbcast.WithSpec(spec),
+		bftbcast.WithPlacement(bftbcast.RandomPlacement{T: 2, Density: 0.06, Seed: 4}),
 	}
-
-	fast, err := bftbcast.RunSim(cfg)
+	fast := runFacade(t, bftbcast.EngineFast, opts...)
+	dense := runFacade(t, bftbcast.EngineRef, opts...)
+	// A one-worker Sweep pins one reusable runner: its second point runs
+	// on reset-and-reused engine state.
+	sc, err := bftbcast.NewScenario(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, err := bftbcast.RunSimRef(cfg)
+	pts, err := (&bftbcast.Sweep{Workers: 1, Scenarios: []*bftbcast.Scenario{sc, sc}}).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := bftbcast.NewSimRunner()
-	reused, err := runner.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, res := range []*bftbcast.SimResult{dense, reused} {
-		if res.Completed != fast.Completed || res.Slots != fast.Slots ||
-			res.GoodMessages != fast.GoodMessages {
-			t.Fatalf("engines disagree: fast=%+v other=%+v", fast, res)
+	for _, rep := range []*bftbcast.Report{dense, pts[1].Report} {
+		if rep.Completed != fast.Completed || rep.Slots != fast.Slots ||
+			rep.GoodMessages != fast.GoodMessages {
+			t.Fatalf("engines disagree: fast=%+v other=%+v", fast, rep)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package bftbcast_test
 
-// Context-cancellation coverage for all four engines: a pre-cancelled
+// Context-cancellation coverage for every engine, and for the reactive
+// protocol on the fast engine: a pre-cancelled
 // context and an expired deadline return promptly with ctx.Err() before
 // the scenario runs; an Observer-triggered cancel interrupts the run
 // mid-flight deterministically (no timing dependence); and the actor
@@ -17,11 +18,26 @@ import (
 	"bftbcast"
 )
 
-// cancelScenario is modest but multi-slot on every backend.
-func cancelScenario(t *testing.T, engine bftbcast.Engine) *bftbcast.Scenario {
+// engineCase is one backend under test: every Engine under its own name,
+// plus "reactive", the fast engine running the reactive protocol.
+type engineCase struct {
+	name   string
+	engine bftbcast.Engine
+}
+
+func engineCases() []engineCase {
+	var cases []engineCase
+	for _, e := range bftbcast.Engines() {
+		cases = append(cases, engineCase{e.Name(), e})
+	}
+	return append(cases, engineCase{"reactive", bftbcast.EngineFast})
+}
+
+// cancelScenario is modest but multi-slot on every engine case.
+func cancelScenario(t *testing.T, name string) *bftbcast.Scenario {
 	t.Helper()
 	opts := []bftbcast.ScenarioOption{bftbcast.WithSeed(5)}
-	switch engine.Name() {
+	switch name {
 	case "reactive":
 		tor, err := bftbcast.NewTorus(15, 15, 2)
 		if err != nil {
@@ -30,6 +46,7 @@ func cancelScenario(t *testing.T, engine bftbcast.Engine) *bftbcast.Scenario {
 		opts = append(opts,
 			bftbcast.WithTopology(tor),
 			bftbcast.WithParams(bftbcast.Params{R: 2, T: 1, MF: 3}),
+			bftbcast.WithProtocol(bftbcast.ProtocolReactive),
 			bftbcast.WithPlacement(bftbcast.RandomPlacement{T: 1, Density: 0.06, Seed: 5}),
 		)
 	default:
@@ -47,7 +64,7 @@ func cancelScenario(t *testing.T, engine bftbcast.Engine) *bftbcast.Scenario {
 			bftbcast.WithParams(params),
 			bftbcast.WithSpec(spec),
 		)
-		if engine.Name() != "actor" {
+		if name != "actor" {
 			opts = append(opts, bftbcast.WithAdversary(
 				bftbcast.RandomPlacement{T: 2, Density: 0.05, Seed: 5},
 				bftbcast.NewCorruptor(),
@@ -62,9 +79,10 @@ func cancelScenario(t *testing.T, engine bftbcast.Engine) *bftbcast.Scenario {
 }
 
 func TestEngineCancellation(t *testing.T) {
-	for _, engine := range bftbcast.Engines() {
-		t.Run(engine.Name(), func(t *testing.T) {
-			sc := cancelScenario(t, engine)
+	for _, c := range engineCases() {
+		engine := c.engine
+		t.Run(c.name, func(t *testing.T) {
+			sc := cancelScenario(t, c.name)
 
 			// Sanity: the scenario completes without cancellation, in
 			// many more than the handful of slots the mid-run test
@@ -141,7 +159,7 @@ func midRunCancel(t *testing.T, engine bftbcast.Engine, sc *bftbcast.Scenario) {
 // runtime mid-run and checks the goroutine count returns to its
 // baseline: the coordinator must stop and join every node.
 func TestActorCancellationNoGoroutineLeak(t *testing.T) {
-	sc := cancelScenario(t, bftbcast.EngineActor)
+	sc := cancelScenario(t, "actor")
 	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())

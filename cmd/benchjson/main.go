@@ -22,6 +22,11 @@
 // list of gates; each is name:factor (guarding ns/op) or
 // name:allocs:factor (guarding allocs/op, the hot-path allocation
 // budget, e.g. BenchmarkBVDeliver:allocs:1.10).
+//
+// The document records the machine shape: the CPU model and "procs",
+// the GOMAXPROCS value from the benchmark names' -N suffix (1 when
+// there is none). ns/op gates only fire when both match the -prev
+// snapshot; allocation gates always fire.
 package main
 
 import (
@@ -47,6 +52,7 @@ type Entry struct {
 // Doc is the emitted document.
 type Doc struct {
 	CPU        string             `json:"cpu,omitempty"`
+	Procs      int                `json:"procs,omitempty"`
 	GoOS       string             `json:"goos,omitempty"`
 	GoArch     string             `json:"goarch,omitempty"`
 	Benchmarks []Entry            `json:"benchmarks"`
@@ -84,9 +90,12 @@ func run(in io.Reader, out, errw io.Writer, prevPath, maxRegress string) error {
 		case !strings.HasPrefix(line, "Benchmark"):
 			continue
 		}
-		e, ok := parseLine(line)
+		e, procs, ok := parseLine(line)
 		if !ok {
 			continue
+		}
+		if doc.Procs == 0 {
+			doc.Procs = procs
 		}
 		doc.Benchmarks = append(doc.Benchmarks, e)
 	}
@@ -130,17 +139,24 @@ func run(in io.Reader, out, errw io.Writer, prevPath, maxRegress string) error {
 		if prev == nil {
 			return fmt.Errorf("-max-regress needs -prev")
 		}
-		// ns/op only compare meaningfully on the machine class that
+		// ns/op only compare meaningfully on the machine shape that
 		// produced the snapshot: cross-machine deltas dwarf any real
 		// regression, so the timing gates are skipped (loudly) when the
-		// CPU differs and the *_vs_prev entries are left as advisory.
-		// Allocation gates are machine-independent and always enforced.
-		cpuMatch := prev.CPU == "" || doc.CPU == prev.CPU
-		if !cpuMatch {
+		// CPU model or the GOMAXPROCS count differs (a snapshot without
+		// either matches anything) and the *_vs_prev entries are left as
+		// advisory. Allocation gates are machine-independent and always
+		// enforced.
+		sameMachine := true
+		if prev.CPU != "" && doc.CPU != prev.CPU {
 			fmt.Fprintf(errw, "benchjson: ns/op gates skipped: cpu %q differs from snapshot %q\n", doc.CPU, prev.CPU)
+			sameMachine = false
+		}
+		if prev.Procs != 0 && doc.Procs != prev.Procs {
+			fmt.Fprintf(errw, "benchjson: ns/op gates skipped: procs %d differs from snapshot %d\n", doc.Procs, prev.Procs)
+			sameMachine = false
 		}
 		for _, gate := range strings.Split(maxRegress, ",") {
-			if err := checkGate(strings.TrimSpace(gate), &doc, prev, cpuMatch, errw); err != nil {
+			if err := checkGate(strings.TrimSpace(gate), &doc, prev, sameMachine, errw); err != nil {
 				return err
 			}
 		}
@@ -150,7 +166,7 @@ func run(in io.Reader, out, errw io.Writer, prevPath, maxRegress string) error {
 
 // checkGate enforces one -max-regress entry: name:factor (ns/op) or
 // name:allocs:factor (allocs/op).
-func checkGate(gate string, doc, prev *Doc, cpuMatch bool, errw io.Writer) error {
+func checkGate(gate string, doc, prev *Doc, sameMachine bool, errw io.Writer) error {
 	parts := strings.Split(gate, ":")
 	var (
 		name, metric string
@@ -180,7 +196,7 @@ func checkGate(gate string, doc, prev *Doc, cpuMatch bool, errw io.Writer) error
 	}
 	switch metric {
 	case "ns":
-		if !cpuMatch {
+		if !sameMachine {
 			return nil
 		}
 		if cur.NsPerOp > old.NsPerOp*factor {
@@ -200,23 +216,25 @@ func checkGate(gate string, doc, prev *Doc, cpuMatch bool, errw io.Writer) error
 	return nil
 }
 
-// parseLine parses "BenchmarkX-8  10  123 ns/op  456 B/op  7 allocs/op".
-func parseLine(line string) (Entry, bool) {
+// parseLine parses "BenchmarkX-8  10  123 ns/op  456 B/op  7 allocs/op",
+// returning the entry and the GOMAXPROCS suffix (1 when absent).
+func parseLine(line string) (Entry, int, bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 || f[3] != "ns/op" {
-		return Entry{}, false
+		return Entry{}, 0, false
 	}
-	name := f[0]
+	name, procs := f[0], 1
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
-		// Strip the GOMAXPROCS suffix so entries compare across machines.
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
+		// Strip the GOMAXPROCS suffix so entries compare by name; the
+		// count itself is recorded in Doc.Procs.
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], n
 		}
 	}
 	iters, err1 := strconv.ParseInt(f[1], 10, 64)
 	ns, err2 := strconv.ParseFloat(f[2], 64)
 	if err1 != nil || err2 != nil {
-		return Entry{}, false
+		return Entry{}, 0, false
 	}
 	e := Entry{Name: name, Iterations: iters, NsPerOp: ns}
 	for i := 4; i+1 < len(f); i += 2 {
@@ -231,7 +249,7 @@ func parseLine(line string) (Entry, bool) {
 			e.AllocsPerOp = v
 		}
 	}
-	return e, true
+	return e, procs, true
 }
 
 func find(es []Entry, name string) *Entry {

@@ -46,7 +46,7 @@ func TestRunEmitsDocAndSpeedups(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
 		t.Fatalf("output not JSON: %v", err)
 	}
-	if doc.CPU != "Testing CPU @ 2.00GHz" || doc.GoOS != "linux" || doc.GoArch != "amd64" {
+	if doc.CPU != "Testing CPU @ 2.00GHz" || doc.Procs != 8 || doc.GoOS != "linux" || doc.GoArch != "amd64" {
 		t.Fatalf("header fields: %+v", doc)
 	}
 	if got := doc.Speedups["dense_over_sparse"]; got != 4 {
@@ -154,6 +154,51 @@ func TestNsGateSkippedOnCPUMismatchAllocsStillEnforced(t *testing.T) {
 	err := run(strings.NewReader(benchOut), &out, &errw, prev2, "BenchmarkBVDeliver:allocs:1.10")
 	if err == nil || !strings.Contains(err.Error(), "regression: BenchmarkBVDeliver") {
 		t.Fatalf("alloc gate must still enforce on cpu mismatch, got %v", err)
+	}
+}
+
+// A 1-CPU and a 2-CPU run of the same CPU model are different machine
+// shapes: ns/op gates are skipped with the cpu-mismatch style warning,
+// allocation gates still enforce. A suffix-less capture records procs 1.
+func TestNsGateSkippedOnProcsMismatchAllocsStillEnforced(t *testing.T) {
+	oneCPU := strings.NewReplacer("-8 ", " ").Replace(benchOut)
+	var out, errw bytes.Buffer
+	if err := run(strings.NewReader(oneCPU), &out, &errw, "", ""); err != nil {
+		t.Fatal(err)
+	}
+	var doc Doc
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Procs != 1 || find(doc.Benchmarks, "BenchmarkBVDeliver") == nil {
+		t.Fatalf("suffix-less capture: procs = %d, benchmarks %+v", doc.Procs, doc.Benchmarks)
+	}
+
+	prev := writePrev(t, Doc{
+		CPU:   "Testing CPU @ 2.00GHz",
+		Procs: 2,
+		Benchmarks: []Entry{
+			{Name: "BenchmarkBVDeliver", NsPerOp: 1, AllocsPerOp: 15},
+		},
+	})
+	out.Reset()
+	if err := run(strings.NewReader(benchOut), &out, &errw, prev, "BenchmarkBVDeliver:1.25"); err != nil {
+		t.Fatalf("ns gate must be skipped on procs mismatch: %v", err)
+	}
+	if want := "benchjson: ns/op gates skipped: procs 8 differs from snapshot 2\n"; errw.String() != want {
+		t.Fatalf("stderr = %q, want %q", errw.String(), want)
+	}
+	prev2 := writePrev(t, Doc{
+		CPU:   "Testing CPU @ 2.00GHz",
+		Procs: 2,
+		Benchmarks: []Entry{
+			{Name: "BenchmarkBVDeliver", NsPerOp: 1, AllocsPerOp: 2},
+		},
+	})
+	out.Reset()
+	err := run(strings.NewReader(benchOut), &out, &errw, prev2, "BenchmarkBVDeliver:allocs:1.10")
+	if err == nil || !strings.Contains(err.Error(), "regression: BenchmarkBVDeliver") {
+		t.Fatalf("alloc gate must still enforce on procs mismatch, got %v", err)
 	}
 }
 

@@ -8,8 +8,6 @@
 // through the same Scenario/Engine code path; invalid combinations are
 // rejected with actionable errors (the actor backend is fault-free, the
 // reactive protocol drives its adversary through -policy, …).
-// -engine reactive is a deprecated alias for -engine fast -protocol
-// reactive.
 //
 // Examples:
 //
@@ -48,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("bftsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		engineName = fs.String("engine", "fast", "execution backend: fast | ref | actor (reactive = deprecated alias for fast+reactive)")
+		engineName = fs.String("engine", "fast", "execution backend: fast | ref | actor")
 		topology   = fs.String("topology", "torus", "topology: torus | grid (bounded, border effects) | rgg (random geometric graph)")
 		w          = fs.Int("w", 20, "grid width (torus: multiple of 2r+1)")
 		h          = fs.Int("h", 20, "grid height (torus: multiple of 2r+1)")
@@ -78,16 +76,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	// The deprecated -engine reactive alias: fast engine + reactive
-	// protocol. An explicit static -protocol alongside it contradicts
-	// the alias.
-	if *engineName == "reactive" {
-		if set["protocol"] && *protoName != "reactive" {
-			return fmt.Errorf("-engine reactive always runs the reactive protocol and cannot run -protocol %s; pick -engine fast|ref|actor for static protocols", *protoName)
-		}
-		fmt.Fprintln(stderr, "bftsim: -engine reactive is deprecated; use -protocol reactive (optionally with -engine fast|ref|actor)")
-		*protoName = "reactive"
-	}
 	engine, err := bftbcast.NewEngine(*engineName)
 	if err != nil {
 		return err

@@ -66,26 +66,6 @@ func TestReactiveAdversarialMatrix(t *testing.T) {
 	}
 }
 
-// TestDeprecatedReactiveEngineAlias pins the -engine reactive alias:
-// still runs (as fast+reactive, reporting engine=reactive), warns on
-// stderr, and rejects a contradictory static -protocol.
-func TestDeprecatedReactiveEngineAlias(t *testing.T) {
-	out, errOut, err := runCLI(t, append([]string{"-engine", "reactive"}, small...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "engine=reactive") || !strings.Contains(out, "protocol=reactive") {
-		t.Fatalf("alias did not run the reactive protocol:\n%s", out)
-	}
-	if !strings.Contains(errOut, "deprecated") {
-		t.Fatalf("alias did not warn: %q", errOut)
-	}
-	if _, _, err := runCLI(t, append([]string{"-engine", "reactive", "-protocol", "b"}, small...)...); err == nil ||
-		!strings.Contains(err.Error(), "-engine reactive") {
-		t.Fatalf("alias with -protocol b: err = %v, want conflict", err)
-	}
-}
-
 // TestInvalidCombinations checks the actionable rejections.
 func TestInvalidCombinations(t *testing.T) {
 	cases := []struct {

@@ -10,7 +10,7 @@ import (
 	"bftbcast/internal/geometry"
 	"bftbcast/internal/grid"
 	"bftbcast/internal/metrics"
-	"bftbcast/internal/reactive"
+	"bftbcast/internal/protocol"
 	"bftbcast/internal/sim"
 	"bftbcast/internal/stats"
 )
@@ -20,7 +20,7 @@ func init() {
 	register(Experiment{ID: "E7", Title: "Figure 9: AUED coding scheme (overhead, detection, forgery)", Run: runE7})
 	register(Experiment{ID: "E8", Title: "Theorem 4: Breactive message budgets with unknown mf", Run: runE8})
 	register(Experiment{ID: "E9", Title: "Lemma 4: decided-neighborhood sufficiency (contrapositive)", Run: runE9})
-	register(Experiment{ID: "E10", Title: "Ablations: quiet window, sub-bit length, segment chain", Run: runE10})
+	register(Experiment{ID: "E10", Title: "Ablations: NACK-spam budget, sub-bit length, segment chain", Run: runE10})
 }
 
 func runE6(opts Options) (*Outcome, error) {
@@ -244,24 +244,18 @@ func runE8(opts Options) (*Outcome, error) {
 		"max sub-slots", "Theorem 4 budget", "forged")
 	type cse struct {
 		t, mf  int
-		policy reactive.AttackPolicy
+		policy protocol.AttackPolicy
 	}
 	cases := []cse{
-		{1, 3, reactive.PolicyDisrupt},
-		{1, 3, reactive.PolicyNackSpam},
-		{3, 2, reactive.PolicyDisrupt},
+		{1, 3, protocol.PolicyDisrupt},
+		{1, 3, protocol.PolicyNackSpam},
+		{3, 2, protocol.PolicyDisrupt},
 	}
 	if !opts.Quick {
-		cases = append(cases, cse{1, 6, reactive.PolicyMixed}, cse{4, 2, reactive.PolicyDisrupt})
+		cases = append(cases, cse{1, 6, protocol.PolicyMixed}, cse{4, 2, protocol.PolicyDisrupt})
 	}
 	for _, c := range cases {
-		res, err := reactive.Run(reactive.Config{
-			Topo: tor, T: c.t, MF: c.mf, MMax: 64, PayloadBits: 16,
-			Source:    tor.ID(0, 0),
-			Placement: adversary.Random{T: c.t, Density: 0.06, Seed: opts.Seed + 80},
-			Policy:    c.policy,
-			Seed:      opts.Seed + 81,
-		})
+		res, err := runReactive(tor, c.t, c.mf, c.policy, opts.Seed+80, opts.Seed+81)
 		if err != nil {
 			return nil, err
 		}
@@ -285,6 +279,28 @@ func runE8(opts Options) (*Outcome, error) {
 	o.note("success probability target is 1 - 1/n; across the suite's seeds no run has failed, " +
 		"and the forge rate is bounded by 2^-L per attack (measured in E7 at small L)")
 	return o, nil
+}
+
+// runReactive runs Breactive (k=16, mmax=64) from the corner of tor on
+// the fast engine, with bad nodes placed at random under the t-local
+// bound, and returns the machine's run record completed with the engine
+// outcome.
+func runReactive(tor *grid.Torus, t, mf int, policy protocol.AttackPolicy, placementSeed, seed uint64) (*protocol.ReactiveResult, error) {
+	m := &protocol.Reactive{MMax: 64, PayloadBits: 16, Policy: policy}
+	res, err := sim.Run(sim.Config{
+		Topo:      tor,
+		Params:    core.Params{R: tor.Range(), T: t, MF: mf},
+		Machine:   m,
+		Source:    tor.ID(0, 0),
+		Placement: adversary.Random{T: t, Density: 0.06, Seed: placementSeed},
+		Seed:      seed,
+	})
+	if err != nil {
+		return nil, err
+	}
+	rr := m.TakeStats()
+	rr.Completed = res.Completed
+	return rr, nil
 }
 
 func runE9(Options) (*Outcome, error) {
@@ -354,25 +370,27 @@ func runE10(opts Options) (*Outcome, error) {
 		return nil, err
 	}
 
-	// Ablation 1: quiet-window length under NACK spam.
-	quiet := metrics.NewTable("Quiet-window ablation (NACK spam, t=1, mf=3; paper: (2r+1)^2-1 = 24)",
-		"quiet window", "completed", "data rounds", "max msgs/node")
-	for _, qw := range []int{1, 4, 24, 48} {
-		res, err := reactive.Run(reactive.Config{
-			Topo: tor, T: 1, MF: 3, MMax: 64, PayloadBits: 16,
-			Source:      tor.ID(0, 0),
-			Placement:   adversary.Random{T: 1, Density: 0.06, Seed: opts.Seed + 100},
-			Policy:      reactive.PolicyNackSpam,
-			Seed:        opts.Seed + 101,
-			QuietWindow: qw,
-		})
+	// Ablation 1: the adversary's budget under NACK spam. Every fake
+	// NACK forces one retransmission, so data rounds grow with mf while
+	// per-node cost stays within Theorem 4's 2(t·mf+1).
+	spam := metrics.NewTable("NACK-spam budget ablation (t=1; Theorem 4 bound 2(t*mf+1))",
+		"mf", "completed", "data rounds", "max msgs/node", "bound 2(tmf+1)")
+	for _, mf := range []int{1, 3, 6} {
+		res, err := runReactive(tor, 1, mf, protocol.PolicyNackSpam, opts.Seed+100, opts.Seed+101)
 		if err != nil {
 			return nil, err
 		}
-		quiet.AddRow(metrics.Itoa(qw), metrics.Btoa(res.Completed),
-			metrics.Itoa(res.MessageRounds), metrics.Itoa(res.MaxNodeMessages))
+		bound := 2 * (mf + 1)
+		spam.AddRow(metrics.Itoa(mf), metrics.Btoa(res.Completed),
+			metrics.Itoa(res.MessageRounds), metrics.Itoa(res.MaxNodeMessages), metrics.Itoa(bound))
+		if !res.Completed {
+			o.fail("Breactive failed under NACK spam at mf=%d", mf)
+		}
+		if res.MaxNodeMessages > bound {
+			o.fail("NACK spam at mf=%d: message cost %d exceeds 2(tmf+1)=%d", mf, res.MaxNodeMessages, bound)
+		}
 	}
-	o.Tables = append(o.Tables, quiet)
+	o.Tables = append(o.Tables, spam)
 
 	// Ablation 2: sub-bit length L vs forgery probability.
 	rng := stats.NewRNG(opts.Seed + 102)

@@ -34,6 +34,10 @@ type checkpoint struct {
 	// a pre-restart lease still folds because completion is keyed by
 	// range, not lease.
 	Shard *shardCheckpoint `json:"shard,omitempty"`
+
+	// file is the checkpoint's file name in the directory (not
+	// persisted), so Open can quarantine a record it cannot restore.
+	file string
 }
 
 // shardCheckpoint is the sharded half of a checkpoint. Aggregate.Done
@@ -87,9 +91,10 @@ func writeCheckpointBytes(dir, id string, data []byte) error {
 
 // readCheckpoints loads every job checkpoint in dir, sorted by Seq —
 // the submission order a restarted manager re-enqueues in. Stray .tmp
-// files (a crash mid-write) are ignored; an undecodable checkpoint is
-// an error, not a silent skip, because dropping a job's record would
-// silently lose submitted work.
+// files (a crash mid-write) are ignored. An undecodable checkpoint is
+// quarantined (see quarantine) so one corrupt file cannot keep every
+// other job from resuming; an unreadable directory or file is an
+// error.
 func readCheckpoints(dir string) ([]*checkpoint, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -105,9 +110,12 @@ func readCheckpoints(dir string) ([]*checkpoint, error) {
 		if err != nil {
 			return nil, fmt.Errorf("jobs: read checkpoint %s: %w", name, err)
 		}
-		cp := &checkpoint{}
+		cp := &checkpoint{file: name}
 		if err := json.Unmarshal(data, cp); err != nil {
-			return nil, fmt.Errorf("jobs: decode checkpoint %s: %w", name, err)
+			if err := quarantine(dir, name); err != nil {
+				return nil, err
+			}
+			continue
 		}
 		if cp.Aggregate == nil {
 			cp.Aggregate = NewAggregate()
@@ -116,4 +124,15 @@ func readCheckpoints(dir string) ([]*checkpoint, error) {
 	}
 	sort.Slice(cps, func(i, j int) bool { return cps[i].Seq < cps[j].Seq })
 	return cps, nil
+}
+
+// quarantine renames an unusable checkpoint to <name>.corrupt: later
+// scans skip it (it no longer ends in .json) while its bytes stay on
+// disk for inspection.
+func quarantine(dir, name string) error {
+	path := filepath.Join(dir, name)
+	if err := os.Rename(path, path+".corrupt"); err != nil {
+		return fmt.Errorf("jobs: quarantine checkpoint %s: %w", name, err)
+	}
+	return nil
 }

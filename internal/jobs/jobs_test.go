@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -276,6 +278,93 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	sub := back.Subscribe(1)
 	if _, open := <-sub.Points(); open {
 		t.Fatal("terminal job's subscription must start closed")
+	}
+}
+
+// TestCorruptCheckpointQuarantined pins that one bad checkpoint does
+// not block the others: an undecodable file and a decodable record with
+// an invalid spec sit beside a parked job; Open renames both to
+// <name>.corrupt and skips them, and the parked job resumes to an
+// aggregate byte-identical to an uninterrupted run's.
+func TestCorruptCheckpointQuarantined(t *testing.T) {
+	const points = 8
+	grid := smallGrid(31, points)
+
+	dir := t.TempDir()
+	tokens := make(chan struct{}, points)
+	for i := 0; i < 3; i++ {
+		tokens <- struct{}{}
+	}
+	m1, err := Open(Config{
+		Dir:     dir,
+		Engine:  &throttleEngine{inner: bftbcast.EngineFast, tokens: tokens},
+		Workers: 1, CheckpointEvery: 1, StreamBuffer: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := m1.Submit(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "checkpointed progress", func() bool { return job.Status().Aggregate.Done >= 2 })
+	mustClose(t, m1)
+
+	garbage := filepath.Join(dir, "garbage.json")
+	badSpec := filepath.Join(dir, "badspec.json")
+	if err := os.WriteFile(garbage, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(badSpec, []byte(`{"id":"jbad","seq":0,"state":"queued","spec":{"seeds":-1}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, err := Open(Config{Dir: dir, Workers: 1})
+	if err != nil {
+		t.Fatalf("Open with corrupt checkpoints beside a good one: %v", err)
+	}
+	resumed, err := m2.Get(job.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	resumedBytes, err := resumed.AggregateJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m2.Get("jbad"); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("quarantined job still registered: err = %v", err)
+	}
+	mustClose(t, m2)
+	for _, path := range []string{garbage, badSpec} {
+		if _, err := os.Stat(path + ".corrupt"); err != nil {
+			t.Errorf("%s not quarantined: %v", filepath.Base(path), err)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s still in place: %v", filepath.Base(path), err)
+		}
+	}
+
+	m3, err := Open(Config{Dir: t.TempDir(), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	control, err := m3.Submit(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := control.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	controlBytes, err := control.AggregateJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustClose(t, m3)
+	if !bytes.Equal(resumedBytes, controlBytes) {
+		t.Fatalf("resumed aggregate diverged from the uninterrupted run:\n%s\nvs\n%s", resumedBytes, controlBytes)
 	}
 }
 

@@ -149,7 +149,9 @@ func (m *Manager) intervalElapsed(last *time.Time) bool {
 // Open creates (or reopens) a manager on cfg.Dir. Checkpointed jobs
 // are reloaded: terminal jobs stay queryable, and queued or running
 // jobs are re-enqueued in their original submission order, each
-// resuming at its checkpointed offset.
+// resuming at its checkpointed offset. A checkpoint that cannot be
+// decoded or restored is renamed to <name>.corrupt and skipped, so the
+// other jobs still resume.
 func Open(cfg Config) (*Manager, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -172,10 +174,16 @@ func Open(cfg Config) (*Manager, error) {
 	m.cond = sync.NewCond(&m.mu)
 	m.shardCond = sync.NewCond(&m.mu)
 	for _, cp := range cps {
+		if cp.Seq >= m.nextSeq {
+			m.nextSeq = cp.Seq + 1
+		}
 		spec, err := bftbcast.DecodeGridSpec(cp.Spec)
 		if err != nil {
-			cancel()
-			return nil, fmt.Errorf("jobs: checkpoint %s holds an invalid spec: %w", cp.ID, err)
+			if err := quarantine(cfg.Dir, cp.file); err != nil {
+				cancel()
+				return nil, err
+			}
+			continue
 		}
 		job := &Job{
 			id:       cp.ID,
@@ -194,8 +202,11 @@ func Open(cfg Config) (*Manager, error) {
 		}
 		if cp.Shard != nil {
 			if err := restoreShard(job, cp); err != nil {
-				cancel()
-				return nil, err
+				if err := quarantine(cfg.Dir, cp.file); err != nil {
+					cancel()
+					return nil, err
+				}
+				continue
 			}
 		}
 		switch {
@@ -212,9 +223,6 @@ func Open(cfg Config) (*Manager, error) {
 			m.queue = append(m.queue, job)
 		}
 		m.jobs[cp.ID] = job
-		if cp.Seq >= m.nextSeq {
-			m.nextSeq = cp.Seq + 1
-		}
 	}
 	go m.schedule()
 	for i := 0; i < cfg.ShardExecutors; i++ {

@@ -220,9 +220,12 @@ func TestAcceptanceDistinctMode(t *testing.T) {
 	if !acc.Deliver(to, relayers[2], radio.ValueTrue) {
 		t.Fatal("three in-window relayers must certify with t=2")
 	}
-	// Out-of-range relays are rejected.
+	// Out-of-range relays are rejected and not recorded.
 	far := tor.ID(0, 7)
 	if acc.Deliver(tor.ID(12, 12), far, radio.ValueTrue) {
 		t.Fatal("out-of-range relay accepted")
+	}
+	if n := acc.PendingRelayers(tor.ID(12, 12), radio.ValueTrue); n != 0 {
+		t.Fatalf("out-of-range relay recorded: pending = %d", n)
 	}
 }

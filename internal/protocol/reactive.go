@@ -1,7 +1,7 @@
 // The Section 5 reactive protocol (Breactive) as a protocol.Machine:
 // certified propagation over a reactive reliable local broadcast built
-// on the two-level AUED code, re-platformed onto the shared slot-level
-// engine stack.
+// on the two-level AUED code, running on the shared slot-level engine
+// stack.
 //
 // Mapping onto engine slots: a node that accepts schedules ONE local
 // broadcast; each of its TDMA slots transmits one data message round
@@ -12,19 +12,17 @@
 // retransmission at the sender via the returned Send. A local broadcast
 // therefore ends exactly when a data round draws no NACK — which, with
 // deterministic policies, happens precisely when the in-range attackers'
-// budgets are exhausted, making the explicit quiet-window countdown of
-// the sequential runtime (internal/reactive) unnecessary: it never
-// changes sends, deliveries or decisions, only how long the sender keeps
-// listening afterwards.
+// budgets are exhausted. The paper's explicit quiet window of (2r+1)²−1
+// NACK-free rounds would never change sends, deliveries or decisions
+// here, only how long the sender keeps listening afterwards, so the
+// machine has none.
 //
-// Relative to the frozen sequential runtime the observable difference is
-// scheduling: local broadcasts proceed concurrently in TDMA slot order
-// (the engines' time base) instead of one-at-a-time in NextRelay order,
-// so per-seed traces differ (the delta is pinned by the golden reactive
-// trace in the facade tests) while the protocol's guarantees — certified
-// propagation, Theorem 4 message bounds, forgery probability — are
-// preserved and additionally hold under Sweep, cancellation, observers
-// and the fast/ref/actor differential oracles.
+// Local broadcasts proceed concurrently in TDMA slot order (the engines'
+// time base); the golden reactive trace in the facade tests pins the
+// resulting per-seed schedule, and the protocol's guarantees — certified
+// propagation, Theorem 4 message bounds, forgery probability — hold
+// under Sweep, cancellation, observers and the fast/ref/actor
+// differential oracles.
 package protocol
 
 import (
@@ -55,31 +53,46 @@ type Reactive struct {
 	Policy AttackPolicy
 
 	// stats is the last finished instance's run record (see TakeStats).
-	stats *ReactiveStats
+	stats *ReactiveResult
 }
 
-// ReactiveStats is the run record a reactive instance publishes at
-// Finish, backing the facade's ReactiveResult extension.
-type ReactiveStats struct {
+// ReactiveResult is the run record of one reactive run. The machine
+// publishes the protocol-side fields at Finish (see TakeStats); the
+// outcome fields (Completed through BadCount, Decided, DecidedValue) are
+// the engine's and are filled in by whoever assembles the report — the
+// facade's Report.Reactive extension is this type.
+type ReactiveResult struct {
+	Completed      bool
+	WrongDecisions int // good nodes holding a value != Vtrue at the end
+	DecidedGood    int
+	TotalGood      int
+	BadCount       int
+
 	LocalBroadcasts int
 	MessageRounds   int // data rounds across all local broadcasts
 
 	DataSends []int32 // per node
 	NackSends []int32 // per node
-	Bad       []bool  // the resolved placement
 
 	// MaxNodeMessages is the per-node maximum of data+NACK messages over
 	// good non-source nodes; the Theorem 4 message bound is 2(t·mf+1).
 	MaxNodeMessages int
-	// MaxNodeSubSlots is MaxNodeMessages · K · L.
+	// MaxNodeSubSlots is MaxNodeMessages · K · L, comparable to the
+	// Theorem 4 sub-slot budget.
 	MaxNodeSubSlots int
-	// Theorem4SubSlots is the paper's closed-form budget.
+	// Theorem4SubSlots is the paper's closed-form budget
+	// 2(t·mf+1)(2·log n + log t + log mmax)(k + 2·log k + 2).
 	Theorem4SubSlots int
 
 	ForgedDeliveries int // undetected wrong values planted (prob ≈ 2^-L each)
 	AttacksSpent     int // adversary messages consumed
 	CodewordBits     int
 	SubBitLength     int
+
+	// Per-node final state, indexed by NodeID.
+	Decided      []bool
+	DecidedValue []radio.Value
+	Bad          []bool // the resolved placement
 }
 
 // Name implements Machine.
@@ -90,7 +103,7 @@ func (m *Reactive) Name() string { return "reactive" }
 // result, so a successful Run is always followed by a non-nil TakeStats.
 // Like Attach, it is part of the machine's single-run-in-flight
 // contract: overlapping runs on one machine value race on the handoff.
-func (m *Reactive) TakeStats() *ReactiveStats {
+func (m *Reactive) TakeStats() *ReactiveResult {
 	s := m.stats
 	m.stats = nil
 	return s
@@ -148,7 +161,7 @@ func (m *Reactive) Attach(env Env) (Instance, error) {
 		t:      t,
 		mf:     mf,
 		served: make([]bool, len(adj.Nbrs)),
-		rs: ReactiveStats{
+		rs: ReactiveResult{
 			DataSends:        make([]int32, n),
 			NackSends:        make([]int32, n),
 			CodewordBits:     code.CodewordBits(),
@@ -194,7 +207,7 @@ type reactiveInstance struct {
 
 	rounds []radio.Delivery // canonical per-slot scratch (sorted by From, To)
 	ones   []int            // forge-attack scratch: 1-bit positions of the codeword
-	rs     ReactiveStats
+	rs     ReactiveResult
 }
 
 // State implements Instance.
@@ -440,8 +453,7 @@ func (e *reactiveInstance) spamNack(slot int, sender grid.NodeID, hooks *Hooks) 
 }
 
 // armedNeighbor returns the first bad neighbor of sender with remaining
-// budget (the compiled plan's CSR order, as the sequential runtime
-// walked), or grid.None.
+// budget in the compiled plan's CSR order, or grid.None.
 func (e *reactiveInstance) armedNeighbor(sender grid.NodeID) grid.NodeID {
 	if e.env.Bad == nil {
 		return grid.None

@@ -9,7 +9,7 @@ import "bftbcast/internal/protocol"
 // executing backend produces (exactly one of them is non-nil).
 type Report struct {
 	// Engine is the name of the backend that produced the report
-	// ("fast", "ref", "actor", "reactive").
+	// ("fast", "ref", "actor").
 	Engine string
 
 	// Completed is true when every good node decided Vtrue.
@@ -137,38 +137,26 @@ func reportFromActor(res *ActorResult, source NodeID) *Report {
 
 // attachReactive decorates an engine report with the reactive machine's
 // run record: the ReactiveResult extension (replacing the backend's own
-// extension, so exactly one stays non-nil) and the adversary's attack
-// spend as BadMessages (machine-internal attacks are not radio jams, so
-// the engine itself counts none). Core fields stay engine-native: Slots
-// is TDMA slot time and Sent counts data transmissions; per-node NACKs
-// are in Reactive.NackSends.
-func attachReactive(rep *Report, rs *protocol.ReactiveStats) {
-	if rs == nil {
+// extension, so exactly one stays non-nil), completed with the engine's
+// outcome fields, and the adversary's attack spend as BadMessages
+// (machine-internal attacks are not radio jams, so the engine itself
+// counts none). Core fields stay engine-native: Slots is TDMA slot time
+// and Sent counts data transmissions; per-node NACKs are in
+// Reactive.NackSends.
+func attachReactive(rep *Report, rr *ReactiveResult) {
+	if rr == nil {
 		return
 	}
-	rep.BadMessages = rs.AttacksSpent
+	rep.BadMessages = rr.AttacksSpent
 	rep.Sim, rep.Actor = nil, nil
-	rep.Reactive = &ReactiveResult{
-		Completed:        rep.Completed,
-		WrongDecisions:   rep.WrongDecisions,
-		DecidedGood:      rep.DecidedGood,
-		TotalGood:        rep.TotalGood,
-		BadCount:         rep.BadCount,
-		LocalBroadcasts:  rs.LocalBroadcasts,
-		MessageRounds:    rs.MessageRounds,
-		DataSends:        rs.DataSends,
-		NackSends:        rs.NackSends,
-		MaxNodeMessages:  rs.MaxNodeMessages,
-		MaxNodeSubSlots:  rs.MaxNodeSubSlots,
-		Theorem4SubSlots: rs.Theorem4SubSlots,
-		ForgedDeliveries: rs.ForgedDeliveries,
-		AttacksSpent:     rs.AttacksSpent,
-		CodewordBits:     rs.CodewordBits,
-		SubBitLength:     rs.SubBitLength,
-		Decided:          rep.Decided,
-		DecidedValue:     rep.DecidedValue,
-		Bad:              rs.Bad,
-	}
+	rr.Completed = rep.Completed
+	rr.WrongDecisions = rep.WrongDecisions
+	rr.DecidedGood = rep.DecidedGood
+	rr.TotalGood = rep.TotalGood
+	rr.BadCount = rep.BadCount
+	rr.Decided = rep.Decided
+	rr.DecidedValue = rep.DecidedValue
+	rep.Reactive = rr
 }
 
 // attachMulti decorates an engine report with the multi-broadcast

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bftbcast"
+	"bftbcast/internal/sim"
 )
 
 func TestNewScenarioValidation(t *testing.T) {
@@ -105,7 +106,7 @@ func TestScenarioWithDoesNotMutateBase(t *testing.T) {
 }
 
 func TestNewEngine(t *testing.T) {
-	for _, want := range []string{"fast", "ref", "actor", "reactive"} {
+	for _, want := range []string{"fast", "ref", "actor"} {
 		e, err := bftbcast.NewEngine(want)
 		if err != nil {
 			t.Fatal(err)
@@ -117,8 +118,8 @@ func TestNewEngine(t *testing.T) {
 	if _, err := bftbcast.NewEngine("warp"); err == nil {
 		t.Fatal("unknown engine: want an error")
 	}
-	if got := len(bftbcast.Engines()); got != 4 {
-		t.Fatalf("Engines() returned %d backends, want 4", got)
+	if got := len(bftbcast.Engines()); got != 3 {
+		t.Fatalf("Engines() returned %d backends, want 3", got)
 	}
 }
 
@@ -209,14 +210,19 @@ func TestEngineScenarioMismatch(t *testing.T) {
 		!strings.Contains(err.Error(), "fault-free") {
 		t.Fatalf("actor engine on adversarial scenario: err = %v, want fault-free rejection", err)
 	}
-	if _, err := bftbcast.EngineReactive.Run(ctx, adversarial); err == nil ||
+	reactive, err := adversarial.With(bftbcast.WithProtocol(bftbcast.ProtocolReactive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bftbcast.EngineFast.Run(ctx, reactive); err == nil ||
 		!strings.Contains(err.Error(), "Policy") {
-		t.Fatalf("reactive engine with Strategy: err = %v, want policy rejection", err)
+		t.Fatalf("reactive protocol with Strategy: err = %v, want policy rejection", err)
 	}
 }
 
-// TestLegacyAndScenarioAgree pins the wrapper contract: a legacy RunSim
-// call and the Scenario/Engine path produce bit-identical results.
+// TestLegacyAndScenarioAgree pins the lowering contract: the engine's
+// own config-struct entry point (internal sim.Run, which predates the
+// Scenario API) and the Scenario/Engine path produce identical results.
 func TestLegacyAndScenarioAgree(t *testing.T) {
 	params := bftbcast.Params{R: 2, T: 3, MF: 2}
 	tor, err := bftbcast.NewTorus(20, 20, params.R)
@@ -227,8 +233,7 @@ func TestLegacyAndScenarioAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	//lint:ignore SA1019 the deprecated wrapper is the subject under test
-	res, err := bftbcast.RunSim(bftbcast.SimConfig{
+	res, err := sim.Run(sim.Config{
 		Topo: tor, Params: params, Spec: spec,
 		Placement: bftbcast.RandomPlacement{T: 3, Density: 0.1, Seed: 1},
 		Strategy:  bftbcast.NewCorruptor(),

@@ -2,7 +2,8 @@
 # bench_sim.sh — run the engine sweep benchmarks (sparse fast path vs the
 # dense sim/ref baseline, the harness parallel variant, the re-platformed
 # reactive-protocol sweep, the multi-broadcast traffic tier, the
-# protocol-layer BVDeliver hot path, the large-scale tier: the
+# certified-propagation acceptance hot path (BenchmarkBVDeliver in
+# internal/protocol), the large-scale tier: the
 # 160×160 torus sweep, the 100k-node RGG single-run, and the
 # million-node RGG single-run — plus the job-service tier, the
 # end-to-end submit/run/aggregate/wait path of internal/jobs behind
@@ -28,6 +29,9 @@
 #     BenchmarkMultiBroadcast, the workers=4 leg of
 #     BenchmarkMultiBroadcastParallel, or BenchmarkJobThroughput
 #     regressed by more than 10% in allocs/op.
+# ns/op gates only fire when the CPU model and the GOMAXPROCS count
+# (benchjson's "procs") both match the snapshot; otherwise they are
+# skipped with a warning and the *_vs_prev entries are advisory.
 # Allocation gates are machine-independent; they guard the protocol
 # layer's zero-alloc delivery contract, the large-scale fast path's
 # steady-state reuse (PR 6 took RGG100kRun from ~200k allocs/op to
@@ -39,24 +43,27 @@
 #   benchtime  go test -benchtime value (default 10x: the sweep is
 #              deterministic, so fixed iteration counts are comparable)
 #   output     output path (default BENCH_sim.json)
+# Scratch files (the previous snapshot, the benchjson binary, the raw
+# bench output) go to $TMPDIR (default /tmp).
 set -eu
 
 cd "$(dirname "$0")/.."
 BENCHTIME="${1:-10x}"
 OUT="${2:-BENCH_sim.json}"
+TMP="${TMPDIR:-/tmp}"
 
 PREVFLAGS=""
 if [ -f BENCH_sim.json ]; then
-  cp BENCH_sim.json /tmp/bench_prev.json
-  PREVFLAGS="-prev /tmp/bench_prev.json -max-regress BenchmarkSweep45Scenario:1.10,BenchmarkBVDeliver:1.25,BenchmarkBVDeliver:allocs:1.10,BenchmarkRGG100kRun:1.10,BenchmarkRGG100kRun:allocs:1.10,BenchmarkRGG1MRun:1.15,BenchmarkRGG1MRun:allocs:1.10,BenchmarkMultiBroadcast:1.10,BenchmarkMultiBroadcast:allocs:1.10,BenchmarkMultiBroadcastParallel/workers=4:allocs:1.10,BenchmarkJobThroughput:1.15,BenchmarkJobThroughput:allocs:1.10,BenchmarkShardedGridThroughput/executors=1:1.15,BenchmarkShardedGridThroughput/executors=1:allocs:1.10"
+  cp BENCH_sim.json "$TMP/bench_prev.json"
+  PREVFLAGS="-prev $TMP/bench_prev.json -max-regress BenchmarkSweep45Scenario:1.10,BenchmarkBVDeliver:1.25,BenchmarkBVDeliver:allocs:1.10,BenchmarkRGG100kRun:1.10,BenchmarkRGG100kRun:allocs:1.10,BenchmarkRGG1MRun:1.15,BenchmarkRGG1MRun:allocs:1.10,BenchmarkMultiBroadcast:1.10,BenchmarkMultiBroadcast:allocs:1.10,BenchmarkMultiBroadcastParallel/workers=4:allocs:1.10,BenchmarkJobThroughput:1.15,BenchmarkJobThroughput:allocs:1.10,BenchmarkShardedGridThroughput/executors=1:1.15,BenchmarkShardedGridThroughput/executors=1:allocs:1.10"
 fi
 
-go build -o /tmp/benchjson ./cmd/benchjson
+go build -o "$TMP/benchjson" ./cmd/benchjson
 
 # No pipeline: POSIX sh has no pipefail, and a b.Fatal in a later
 # benchmark must fail the script even when the earlier result lines
 # already parsed cleanly.
-RAW=/tmp/bench_raw.txt
+RAW="$TMP/bench_raw.txt"
 run_suite() {
   go test -run '^$' -timeout 1800s \
     -bench 'Benchmark(Sweep45(Sequential|Parallel|DenseRef|Runner|Scenario)|ReactiveSweep|Sweep160Scenario|RGG100kRun|MultiBroadcast|MultiBroadcastParallel|RGG25kMulti)$' \
@@ -68,12 +75,12 @@ run_suite() {
   go test -run '^$' -timeout 1800s \
     -bench 'BenchmarkRGG1MRun$' \
     -benchmem -benchtime 1x . >> "$RAW"
-  # The protocol-layer delivery hot path lives in internal/bv; its
-  # allocs/op line joins the same document so the allocation gate can
-  # guard it.
+  # The certified-propagation acceptance hot path lives in
+  # internal/protocol; its allocs/op line joins the same document so
+  # the allocation gate can guard it.
   go test -run '^$' -timeout 600s \
     -bench 'BenchmarkBVDeliver$' \
-    -benchmem -benchtime "$BENCHTIME" ./internal/bv >> "$RAW"
+    -benchmem -benchtime "$BENCHTIME" ./internal/protocol >> "$RAW"
   # The job-service tier: end-to-end submit → checkpointing run →
   # constant-memory aggregation → wait for a 64-point grid, the path
   # every bftsimd job takes — plus the sharded lease-protocol variant
@@ -91,9 +98,9 @@ run_suite
 # untouched DenseRef baseline has drifted >20% between runs of this
 # container); a single retry separates persistent regressions from
 # noise while keeping real >10% slowdowns fatal.
-if ! /tmp/benchjson $PREVFLAGS < "$RAW" > "$OUT"; then
+if ! "$TMP/benchjson" $PREVFLAGS < "$RAW" > "$OUT"; then
   echo "bench_sim.sh: regression gate tripped; rerunning once to rule out noise" >&2
   run_suite
-  /tmp/benchjson $PREVFLAGS < "$RAW" > "$OUT"
+  "$TMP/benchjson" $PREVFLAGS < "$RAW" > "$OUT"
 fi
 echo "wrote $OUT" >&2
