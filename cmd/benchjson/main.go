@@ -23,6 +23,12 @@
 // name:allocs:factor (guarding allocs/op, the hot-path allocation
 // budget, e.g. BenchmarkBVDeliver:allocs:1.10).
 //
+// Repeated lines of one benchmark (go test -count N) fold into one
+// entry: ns/op, B/op and allocs/op become the medians of the samples,
+// and the entry records the sample count and the min/max of ns/op and
+// allocs/op as the spread. Gates compare medians, so one noisy sample
+// cannot trip them.
+//
 // The document records the machine shape: the CPU model and "procs",
 // the GOMAXPROCS value from the benchmark names' -N suffix (1 when
 // there is none). ns/op gates only fire when both match the -prev
@@ -36,17 +42,26 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
 
-// Entry is one benchmark result.
+// Entry is one benchmark result: a single sample, or the medians of
+// Samples repeats with their spread.
 type Entry struct {
 	Name        string  `json:"name"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	// Samples counts the folded repeats (omitted for a single sample);
+	// the ranges below span them.
+	Samples   int     `json:"samples,omitempty"`
+	NsMin     float64 `json:"ns_min,omitempty"`
+	NsMax     float64 `json:"ns_max,omitempty"`
+	AllocsMin int64   `json:"allocs_min,omitempty"`
+	AllocsMax int64   `json:"allocs_max,omitempty"`
 }
 
 // Doc is the emitted document.
@@ -105,6 +120,7 @@ func run(in io.Reader, out, errw io.Writer, prevPath, maxRegress string) error {
 	if len(doc.Benchmarks) == 0 {
 		return fmt.Errorf("no benchmark lines on stdin")
 	}
+	doc.Benchmarks = fold(doc.Benchmarks)
 	if dense, sparse := find(doc.Benchmarks, "BenchmarkSweep45DenseRef"), find(doc.Benchmarks, "BenchmarkSweep45Sequential"); dense != nil && sparse != nil && sparse.NsPerOp > 0 {
 		doc.Speedups["dense_over_sparse"] = round2(dense.NsPerOp / sparse.NsPerOp)
 	}
@@ -250,6 +266,54 @@ func parseLine(line string) (Entry, int, bool) {
 		}
 	}
 	return e, procs, true
+}
+
+// fold merges the samples of each benchmark name into one entry at the
+// name's first position, keeping single samples as they are. Iterations
+// sums over the samples; an even sample count takes the mean of the two
+// middle values (truncated for the integer metrics).
+func fold(es []Entry) []Entry {
+	byName := map[string][]Entry{}
+	var order []string
+	for _, e := range es {
+		if _, seen := byName[e.Name]; !seen {
+			order = append(order, e.Name)
+		}
+		byName[e.Name] = append(byName[e.Name], e)
+	}
+	out := make([]Entry, 0, len(order))
+	for _, name := range order {
+		samples := byName[name]
+		if len(samples) == 1 {
+			out = append(out, samples[0])
+			continue
+		}
+		f := Entry{Name: name, Samples: len(samples)}
+		ns := make([]float64, len(samples))
+		bytes := make([]int64, len(samples))
+		allocs := make([]int64, len(samples))
+		for i, s := range samples {
+			f.Iterations += s.Iterations
+			ns[i], bytes[i], allocs[i] = s.NsPerOp, s.BytesPerOp, s.AllocsPerOp
+		}
+		f.NsPerOp = median(ns)
+		f.BytesPerOp = median(bytes)
+		f.AllocsPerOp = median(allocs)
+		f.NsMin, f.NsMax = ns[0], ns[len(ns)-1]
+		f.AllocsMin, f.AllocsMax = allocs[0], allocs[len(allocs)-1]
+		out = append(out, f)
+	}
+	return out
+}
+
+// median sorts xs in place and returns its median.
+func median[T int64 | float64](xs []T) T {
+	slices.Sort(xs)
+	mid := len(xs) / 2
+	if len(xs)%2 == 1 {
+		return xs[mid]
+	}
+	return (xs[mid-1] + xs[mid]) / 2
 }
 
 func find(es []Entry, name string) *Entry {

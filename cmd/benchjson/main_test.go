@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,14 +13,14 @@ import (
 // benchOut is a minimal but realistic `go test -bench -benchmem` capture:
 // the two sweep variants (so dense_over_sparse is computed), a guarded
 // hot path, and a sub-benchmark whose name carries a slash — the shape
-// BenchmarkMultiBroadcastParallel/workers=4 has in bench_sim.sh's gates.
+// BenchmarkShardedGridThroughput/executors=1 has in bench_sim.sh's gates.
 const benchOut = `goos: linux
 goarch: amd64
 cpu: Testing CPU @ 2.00GHz
 BenchmarkSweep45Sequential-8   	      10	 100000000 ns/op
 BenchmarkSweep45DenseRef-8     	       2	 400000000 ns/op
 BenchmarkBVDeliver-8           	    5000	    300000 ns/op	  120000 B/op	      15 allocs/op
-BenchmarkMultiBroadcastParallel/workers=4-8 	      20	  60000000 ns/op	 5000000 B/op	     388 allocs/op
+BenchmarkShardedGridThroughput/executors=1-8 	      20	  60000000 ns/op	 5000000 B/op	     388 allocs/op
 PASS
 `
 
@@ -54,7 +55,7 @@ func TestRunEmitsDocAndSpeedups(t *testing.T) {
 	}
 	// Sub-benchmark names keep their slash; only the -N GOMAXPROCS
 	// suffix is stripped. The gates in bench_sim.sh rely on this.
-	e := find(doc.Benchmarks, "BenchmarkMultiBroadcastParallel/workers=4")
+	e := find(doc.Benchmarks, "BenchmarkShardedGridThroughput/executors=1")
 	if e == nil {
 		t.Fatalf("sub-benchmark name not preserved; have %+v", doc.Benchmarks)
 	}
@@ -79,11 +80,11 @@ func TestGateSkippedOnFirstAppearance(t *testing.T) {
 	})
 	var out, errw bytes.Buffer
 	err := run(strings.NewReader(benchOut), &out, &errw, prev,
-		"BenchmarkBVDeliver:allocs:1.10,BenchmarkMultiBroadcastParallel/workers=4:allocs:1.10")
+		"BenchmarkBVDeliver:allocs:1.10,BenchmarkShardedGridThroughput/executors=1:allocs:1.10")
 	if err != nil {
 		t.Fatalf("first-appearance gate must not fail the run: %v", err)
 	}
-	want := "benchjson: gate skipped: BenchmarkMultiBroadcastParallel/workers=4 missing from prev\n"
+	want := "benchjson: gate skipped: BenchmarkShardedGridThroughput/executors=1 missing from prev\n"
 	if errw.String() != want {
 		t.Fatalf("stderr = %q, want %q", errw.String(), want)
 	}
@@ -209,6 +210,61 @@ func TestGateErrorsOnMalformedSpec(t *testing.T) {
 		out.Reset()
 		if err := run(strings.NewReader(benchOut), &out, &errw, prev, bad); err == nil {
 			t.Errorf("gate %q: want error, got nil", bad)
+		}
+	}
+}
+
+// repeats is a -count 5 capture of one benchmark whose allocs/op swings
+// between samples, the shape BenchmarkMultiBroadcast shows (42 vs 48/49).
+func repeats(allocs ...int) string {
+	var b strings.Builder
+	b.WriteString("cpu: Testing CPU @ 2.00GHz\n")
+	for i, a := range allocs {
+		fmt.Fprintf(&b, "BenchmarkMultiBroadcast-2 \t 5 \t %d ns/op \t 1000 B/op \t %d allocs/op\n", 100+10*i, a)
+	}
+	return b.String()
+}
+
+// Repeated lines of one name fold into one entry holding the medians,
+// the sample count and the spread.
+func TestRepeatsFoldIntoMedians(t *testing.T) {
+	var out, errw bytes.Buffer
+	if err := run(strings.NewReader(repeats(48, 42, 49, 42, 42)), &out, &errw, "", ""); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	var doc Doc
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatalf("output not JSON: %v", err)
+	}
+	want := Entry{
+		Name: "BenchmarkMultiBroadcast", Iterations: 25, NsPerOp: 120, BytesPerOp: 1000, AllocsPerOp: 42,
+		Samples: 5, NsMin: 100, NsMax: 140, AllocsMin: 42, AllocsMax: 49,
+	}
+	if len(doc.Benchmarks) != 1 || doc.Benchmarks[0] != want {
+		t.Fatalf("folded entries = %+v, want [%+v]", doc.Benchmarks, want)
+	}
+}
+
+// The allocation gate reads the median: one high sample passes, a
+// majority of high samples still trips it.
+func TestAllocGateUsesMedian(t *testing.T) {
+	prev := writePrev(t, Doc{
+		CPU:        "Testing CPU @ 2.00GHz",
+		Benchmarks: []Entry{{Name: "BenchmarkMultiBroadcast", NsPerOp: 120, AllocsPerOp: 42}},
+	})
+	const gate = "BenchmarkMultiBroadcast:allocs:1.10"
+	for _, tc := range []struct {
+		allocs []int
+		trip   bool
+	}{
+		{[]int{42, 49, 42, 42, 42}, false},
+		{[]int{48, 42, 49, 42, 42}, false},
+		{[]int{48, 49, 42, 48, 42}, true},
+	} {
+		var out, errw bytes.Buffer
+		err := run(strings.NewReader(repeats(tc.allocs...)), &out, &errw, prev, gate)
+		if tripped := err != nil; tripped != tc.trip {
+			t.Errorf("allocs %v: gate error = %v, want tripped=%v", tc.allocs, err, tc.trip)
 		}
 	}
 }

@@ -9,6 +9,9 @@
 // rejected with actionable errors (the actor backend is fault-free, the
 // reactive protocol drives its adversary through -policy, …).
 //
+// A run is single-threaded; to use more cores, run many points at once
+// with bftbench -parallel or a bftsimd grid job.
+//
 // Examples:
 //
 //	bftsim -w 20 -h 20 -r 2 -t 3 -mf 2 -adversary random -density 0.1
@@ -65,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		broadcasts = fs.Int("broadcasts", 0, "concurrent broadcast instances (multi-broadcast traffic; threshold protocols only)")
 		traceFlag  = fs.Bool("trace", false, "emit acceptance events as JSON lines")
 		timeout    = fs.Duration("timeout", 0, "wall-clock deadline for the run (0 = none)")
-		runWorkers = fs.Int("run-workers", 1, "fast engine: shard big slots across this many goroutines (bit-identical output)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -108,12 +110,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		bftbcast.WithTopology(tp),
 		bftbcast.WithParams(params),
 		bftbcast.WithSeed(*seed),
-	}
-	if *runWorkers != 1 {
-		// Pass 0 and negative values through too: the scenario rejects
-		// negatives with an actionable error instead of the CLI silently
-		// running sequentially.
-		opts = append(opts, bftbcast.WithRunWorkers(*runWorkers))
 	}
 	if set["broadcasts"] {
 		opts = append(opts, bftbcast.WithBroadcasts(*broadcasts))

@@ -141,30 +141,3 @@ func TestTraceFlag(t *testing.T) {
 		t.Fatalf("trace output missing accept events:\n%s", out[:min(400, len(out))])
 	}
 }
-
-// TestRunWorkersFlag checks -run-workers produces byte-identical output
-// to a sequential run on every engine that honors (or ignores) it.
-func TestRunWorkersFlag(t *testing.T) {
-	for _, eng := range []string{"fast", "ref"} {
-		t.Run(eng, func(t *testing.T) {
-			base := append([]string{"-engine", eng, "-adversary", "random", "-density", "0.03"}, small...)
-			seq, _, err := runCLI(t, base...)
-			if err != nil {
-				t.Fatalf("sequential run: %v", err)
-			}
-			par, _, err := runCLI(t, append([]string{"-run-workers", "4"}, base...)...)
-			if err != nil {
-				t.Fatalf("-run-workers 4: %v", err)
-			}
-			if par != seq {
-				t.Fatalf("-run-workers 4 changed the output:\nseq:\n%s\npar:\n%s", seq, par)
-			}
-		})
-	}
-	t.Run("negative", func(t *testing.T) {
-		_, _, err := runCLI(t, append([]string{"-run-workers", "-2"}, small...)...)
-		if err == nil || !strings.Contains(err.Error(), "RunWorkers") {
-			t.Fatalf("-run-workers -2: got %v, want the scenario validation error", err)
-		}
-	})
-}

@@ -127,30 +127,6 @@ func (t *ThresholdInstance) Deliver(slot int, ds []radio.Delivery, hooks *Hooks,
 	return buf, nil
 }
 
-// DeliverShard implements ShardedInstance: the Deliver loop minus the
-// hooks (the engine replays those from the merged batch). Every write —
-// receipt counters, the (node,value) count, the decided/value arrays —
-// is indexed by the receiver, so concurrent shards with disjoint
-// receivers are race-free and order-independent.
-func (t *ThresholdInstance) DeliverShard(ds []radio.Delivery, buf []Send) []Send {
-	st := &t.st
-	for _, d := range ds {
-		u := d.To
-		if t.bad != nil && t.bad[u] {
-			continue // adversary nodes do not run the protocol
-		}
-		if d.Value == radio.ValueTrue {
-			st.Correct[u]++
-		} else {
-			st.Wrong[u]++
-		}
-		if t.acc.deliverCounts(u, d.Value) {
-			buf = append(buf, Send{ID: u, N: t.spec.Sends(u)})
-		}
-	}
-	return buf
-}
-
 // Tick implements Instance (threshold protocols are purely
 // delivery-driven).
 func (t *ThresholdInstance) Tick(_ int, buf []Send) []Send { return buf }
@@ -183,15 +159,3 @@ func (t *ThresholdInstance) Sizing() (sourceSends, maxSends int) {
 
 // Finish implements Instance (nothing to publish).
 func (t *ThresholdInstance) Finish(int) {}
-
-// WorkHint implements WorkHinter: one delivery is one protocol entry,
-// so the engine's pending×degree delivery estimate needs no scaling.
-// Stated explicitly (rather than relying on the engine's default of 1)
-// so the seam's two hint shapes are both visible in code.
-func (t *ThresholdInstance) WorkHint() int { return 1 }
-
-// The fast engine's in-run parallel path shards threshold runs.
-var (
-	_ ShardedInstance = (*ThresholdInstance)(nil)
-	_ WorkHinter      = (*ThresholdInstance)(nil)
-)

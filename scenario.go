@@ -47,14 +47,11 @@ type Scenario struct {
 	// MaxSlots caps slot-level and actor runs; 0 picks a generous
 	// engine-derived default.
 	MaxSlots int
-	// RunWorkers > 1 shards each big slot of a fast-engine run across
-	// that many worker goroutines (in-run parallelism, DESIGN.md §11).
-	// Reports and observer streams are bit-identical to the sequential
-	// run for every worker count; 0 or 1 runs sequentially. The fast
-	// engine's threshold protocol path parallelizes, with or without
-	// Broadcasts (multi-broadcast slots shard through the folding seam,
-	// DESIGN.md §12) — the reactive protocol and the other engines
-	// ignore it.
+	// RunWorkers is accepted and ignored: every engine runs a single
+	// run sequentially (DESIGN.md §11). Negative values are still
+	// rejected with ErrBadLimits.
+	//
+	// Deprecated: parallelize across runs with Sweep or sharded jobs.
 	RunWorkers int
 	// Broadcasts is the number of concurrent broadcast instances
 	// (multi-broadcast traffic mode, DESIGN.md §12): M distinct sources
@@ -270,9 +267,10 @@ func WithMaxSlots(n int) ScenarioOption {
 	return func(sc *Scenario) { sc.MaxSlots = n }
 }
 
-// WithRunWorkers shards each big slot of a fast-engine run across n
-// worker goroutines (see Scenario.RunWorkers). Results are bit-identical
-// for every n; 0 or 1 runs sequentially.
+// WithRunWorkers sets Scenario.RunWorkers, which is accepted and
+// ignored.
+//
+// Deprecated: parallelize across runs with Sweep or sharded jobs.
 func WithRunWorkers(n int) ScenarioOption {
 	return func(sc *Scenario) { sc.RunWorkers = n }
 }

@@ -26,18 +26,19 @@
 #     the benchmark itself, so it holds on every run, not just vs the
 #     snapshot), in ns/op, or
 #   - BenchmarkBVDeliver, BenchmarkRGG100kRun, BenchmarkRGG1MRun,
-#     BenchmarkMultiBroadcast, the workers=4 leg of
-#     BenchmarkMultiBroadcastParallel, or BenchmarkJobThroughput
-#     regressed by more than 10% in allocs/op.
+#     BenchmarkMultiBroadcast or BenchmarkJobThroughput regressed by
+#     more than 10% in allocs/op.
+# Every benchmark runs -count 5 times; benchjson folds the repeats into
+# median ns/op and allocs/op (plus their min/max spread), and the gates
+# compare medians, so one noisy sample cannot trip them.
 # ns/op gates only fire when the CPU model and the GOMAXPROCS count
 # (benchjson's "procs") both match the snapshot; otherwise they are
 # skipped with a warning and the *_vs_prev entries are advisory.
 # Allocation gates are machine-independent; they guard the protocol
 # layer's zero-alloc delivery contract, the large-scale fast path's
 # steady-state reuse (PR 6 took RGG100kRun from ~200k allocs/op to
-# ~130), the sharded multi-broadcast fold (PR 9), and the job service's
-# per-point spec expansion (PR 9 cut it ~17% by killing the option-
-# closure churn).
+# ~130), the multi-broadcast machine, and the job service's per-point
+# spec expansion (PR 9 cut it ~17% by killing the option-closure churn).
 #
 # Usage: scripts/bench_sim.sh [benchtime] [output]
 #   benchtime  go test -benchtime value (default 10x: the sweep is
@@ -50,12 +51,13 @@ set -eu
 cd "$(dirname "$0")/.."
 BENCHTIME="${1:-10x}"
 OUT="${2:-BENCH_sim.json}"
+COUNT=5
 TMP="${TMPDIR:-/tmp}"
 
 PREVFLAGS=""
 if [ -f BENCH_sim.json ]; then
   cp BENCH_sim.json "$TMP/bench_prev.json"
-  PREVFLAGS="-prev $TMP/bench_prev.json -max-regress BenchmarkSweep45Scenario:1.10,BenchmarkBVDeliver:1.25,BenchmarkBVDeliver:allocs:1.10,BenchmarkRGG100kRun:1.10,BenchmarkRGG100kRun:allocs:1.10,BenchmarkRGG1MRun:1.15,BenchmarkRGG1MRun:allocs:1.10,BenchmarkMultiBroadcast:1.10,BenchmarkMultiBroadcast:allocs:1.10,BenchmarkMultiBroadcastParallel/workers=4:allocs:1.10,BenchmarkJobThroughput:1.15,BenchmarkJobThroughput:allocs:1.10,BenchmarkShardedGridThroughput/executors=1:1.15,BenchmarkShardedGridThroughput/executors=1:allocs:1.10"
+  PREVFLAGS="-prev $TMP/bench_prev.json -max-regress BenchmarkSweep45Scenario:1.10,BenchmarkBVDeliver:1.25,BenchmarkBVDeliver:allocs:1.10,BenchmarkRGG100kRun:1.10,BenchmarkRGG100kRun:allocs:1.10,BenchmarkRGG1MRun:1.15,BenchmarkRGG1MRun:allocs:1.10,BenchmarkMultiBroadcast:1.10,BenchmarkMultiBroadcast:allocs:1.10,BenchmarkJobThroughput:1.15,BenchmarkJobThroughput:allocs:1.10,BenchmarkShardedGridThroughput/executors=1:1.15,BenchmarkShardedGridThroughput/executors=1:allocs:1.10"
 fi
 
 go build -o "$TMP/benchjson" ./cmd/benchjson
@@ -66,21 +68,21 @@ go build -o "$TMP/benchjson" ./cmd/benchjson
 RAW="$TMP/bench_raw.txt"
 run_suite() {
   go test -run '^$' -timeout 1800s \
-    -bench 'Benchmark(Sweep45(Sequential|Parallel|DenseRef|Runner|Scenario)|ReactiveSweep|Sweep160Scenario|RGG100kRun|MultiBroadcast|MultiBroadcastParallel|RGG25kMulti)$' \
-    -benchmem -benchtime "$BENCHTIME" . > "$RAW"
+    -bench 'Benchmark(Sweep45(Sequential|Parallel|DenseRef|Runner|Scenario)|ReactiveSweep|Sweep160Scenario|RGG100kRun|MultiBroadcast|RGG25kMulti)$' \
+    -benchmem -benchtime "$BENCHTIME" -count "$COUNT" . > "$RAW"
   # The million-node run is ~3s/op: fixed at -benchtime 1x so the
-  # large-scale tier stays a few seconds instead of scaling with the
+  # large-scale tier stays within a minute instead of scaling with the
   # caller's benchtime. The run is deterministic, so one iteration is a
   # comparable sample.
   go test -run '^$' -timeout 1800s \
     -bench 'BenchmarkRGG1MRun$' \
-    -benchmem -benchtime 1x . >> "$RAW"
+    -benchmem -benchtime 1x -count "$COUNT" . >> "$RAW"
   # The certified-propagation acceptance hot path lives in
   # internal/protocol; its allocs/op line joins the same document so
   # the allocation gate can guard it.
   go test -run '^$' -timeout 600s \
     -bench 'BenchmarkBVDeliver$' \
-    -benchmem -benchtime "$BENCHTIME" ./internal/protocol >> "$RAW"
+    -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/protocol >> "$RAW"
   # The job-service tier: end-to-end submit → checkpointing run →
   # constant-memory aggregation → wait for a 64-point grid, the path
   # every bftsimd job takes — plus the sharded lease-protocol variant
@@ -89,7 +91,7 @@ run_suite() {
   # (15%): the checkpoint fsyncs make both disk-sensitive.
   go test -run '^$' -timeout 600s \
     -bench 'Benchmark(JobThroughput|ShardedGridThroughput)$' \
-    -benchmem -benchtime "$BENCHTIME" ./internal/jobs >> "$RAW"
+    -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/jobs >> "$RAW"
   cat "$RAW" >&2
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 
 	"bftbcast/internal/stats"
 )
@@ -46,8 +47,12 @@ type ScenarioSpec struct {
 	PayloadBits int    `json:"payload_bits,omitempty"`
 	// Broadcasts >= 2 enables multi-broadcast traffic (threshold only).
 	Broadcasts int `json:"broadcasts,omitempty"`
-	// MaxSlots and RunWorkers are the Scenario run limits.
-	MaxSlots   int `json:"max_slots,omitempty"`
+	// MaxSlots is the Scenario run limit.
+	MaxSlots int `json:"max_slots,omitempty"`
+	// RunWorkers is accepted and ignored, so persisted specs that carry
+	// it still decode (see Scenario.RunWorkers).
+	//
+	// Deprecated: parallelize across runs with Sweep or sharded jobs.
 	RunWorkers int `json:"run_workers,omitempty"`
 	// Seed drives the engine randomness, the adversary placement and —
 	// through deterministic derivation — every replica of a GridSpec.
@@ -228,13 +233,22 @@ func (g *GridSpec) Encode() ([]byte, error) {
 
 // NPoints returns the number of points the grid expands to.
 func (g *GridSpec) NPoints() int {
+	n, _ := g.points()
+	return n
+}
+
+// points returns the point count and whether it fits in an int.
+func (g *GridSpec) points() (int, bool) {
 	n := g.replicas()
 	for _, axis := range []int{len(g.T), len(g.MF), len(g.Density), len(g.Broadcasts)} {
 		if axis > 0 {
+			if n > math.MaxInt/axis {
+				return 0, false
+			}
 			n *= axis
 		}
 	}
-	return n
+	return n, true
 }
 
 func (g *GridSpec) replicas() int {
@@ -252,6 +266,9 @@ func (g *GridSpec) replicas() int {
 func (g *GridSpec) Validate() error {
 	if g.Seeds < 0 {
 		return fmt.Errorf("%w: seeds %d must be >= 0", ErrBadSpec, g.Seeds)
+	}
+	if _, ok := g.points(); !ok {
+		return fmt.Errorf("%w: point count overflows int", ErrBadSpec)
 	}
 	tp, err := NewTopology(g.Base.Topology)
 	if err != nil {

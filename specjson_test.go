@@ -3,6 +3,7 @@ package bftbcast_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -43,6 +44,8 @@ func TestGridSpecDecodeValidate(t *testing.T) {
 		{"negative mf axis", `{"base": {"topology": {"Kind": "torus", "W": 15, "H": 15, "R": 2}, "t": 1}, "mf": [-3]}`, bftbcast.ErrBadParams},
 		{"t axis too large", `{"base": {"topology": {"Kind": "torus", "W": 15, "H": 15, "R": 2}, "mf": 1}, "t": [99]}`, bftbcast.ErrBadParams},
 		{"reactive x broadcasts", `{"base": {"topology": {"Kind": "torus", "W": 15, "H": 15, "R": 2}, "t": 1, "mf": 2, "protocol": "reactive"}, "broadcasts": [4]}`, bftbcast.ErrBadBroadcasts},
+		{"negative run workers", `{"base": {"topology": {"Kind": "torus", "W": 15, "H": 15, "R": 2}, "t": 1, "mf": 2, "run_workers": -1}}`, bftbcast.ErrBadLimits},
+		{"point count overflow", `{"base":{"topology":{"Kind":"torus","W":15,"H":15,"R":1},"t":1,"mf":2},"seeds":4611686018427387904,"t":[1,1,1,1]}`, bftbcast.ErrBadSpec},
 	}
 	for _, tc := range bad {
 		if _, err := bftbcast.DecodeGridSpec([]byte(tc.doc)); !errors.Is(err, tc.want) {
@@ -139,18 +142,20 @@ func TestGridSpecExpansion(t *testing.T) {
 
 // TestGridSpecRunsDeterministically runs a small expanded grid through a
 // Sweep twice and requires identical reports — the idempotence that
-// makes checkpointed points safe to skip on resume.
+// makes checkpointed points safe to skip on resume. A third run of the
+// same grid with the deprecated "run_workers" field must decode and
+// report identically too: persisted specs may still carry it.
 func TestGridSpecRunsDeterministically(t *testing.T) {
-	doc := []byte(`{
+	const doc = `{
 		"base": {"topology": {"Kind": "torus", "W": 15, "H": 15, "R": 2}, "t": 1, "mf": 2,
-		          "adversary": "random", "density": 0.08, "seed": 3},
+		          "adversary": "random", "density": 0.08, "seed": 3%s},
 		"seeds": 2, "t": [1, 2]
-	}`)
-	g, err := bftbcast.DecodeGridSpec(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() []bftbcast.SweepPoint {
+	}`
+	run := func(extra string) []bftbcast.SweepPoint {
+		g, err := bftbcast.DecodeGridSpec([]byte(fmt.Sprintf(doc, extra)))
+		if err != nil {
+			t.Fatal(err)
+		}
 		scenarios, err := g.Scenarios(0, g.NPoints())
 		if err != nil {
 			t.Fatal(err)
@@ -161,10 +166,13 @@ func TestGridSpecRunsDeterministically(t *testing.T) {
 		}
 		return pts
 	}
-	a, b := run(), run()
+	a, b, c := run(""), run(""), run(`, "run_workers": 4`)
 	for i := range a {
 		if !reflect.DeepEqual(a[i].Report, b[i].Report) {
 			t.Fatalf("point %d not reproducible across expansions", i)
+		}
+		if !reflect.DeepEqual(a[i].Report, c[i].Report) {
+			t.Fatalf("point %d: run_workers changed the report", i)
 		}
 	}
 }
